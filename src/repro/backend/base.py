@@ -8,11 +8,10 @@ implementing this protocol, resolved via :func:`repro.backend.get_backend`.
 
 The surface has two tiers:
 
-**Primitives** are the ~15 ndarray operations the kernels are actually built
-from: GEMM-shaped contractions (``matmul`` / ``tensordot``), padding and
-strided window views, reductions, transcendentals and the RNG draws.  A new
-backend (an accelerator, a JIT such as numexpr, a remote device) must provide
-all of them.
+**Primitives** are the ndarray operations the kernels are actually built
+from: the GEMM (``matmul``), padding and strided window views, reductions,
+transcendentals and the RNG draws.  A new backend (an accelerator, a JIT
+such as numexpr, a remote device) must provide all of them.
 
 **Composites** are fusion points: whole elementwise chains (the affine map of
 ``linear``, the softmax family, batch-norm normalization and its input
@@ -72,8 +71,6 @@ class ArrayBackend(Protocol):
 
     def matmul(self, a, b) -> np.ndarray: ...
 
-    def tensordot(self, a, b, axes) -> np.ndarray: ...
-
     # ------------------------------------------------------------------ #
     # Primitives: transcendentals
     # ------------------------------------------------------------------ #
@@ -95,8 +92,6 @@ class ArrayBackend(Protocol):
     def var(self, x, axis=None) -> np.ndarray: ...
 
     def amax(self, x, axis=None, keepdims: bool = False) -> np.ndarray: ...
-
-    def argmax(self, x, axis: int) -> np.ndarray: ...
 
     def pad(self, x, pad_width, value: float = 0.0) -> np.ndarray: ...
 

@@ -47,9 +47,6 @@ class NumpyBackend:
     def matmul(self, a, b) -> np.ndarray:
         return np.matmul(a, b)
 
-    def tensordot(self, a, b, axes) -> np.ndarray:
-        return np.tensordot(a, b, axes=axes)
-
     def exp(self, x) -> np.ndarray:
         return np.exp(x)
 
@@ -77,9 +74,6 @@ class NumpyBackend:
 
     def amax(self, x, axis=None, keepdims: bool = False) -> np.ndarray:
         return x.max(axis=axis, keepdims=keepdims)
-
-    def argmax(self, x, axis: int) -> np.ndarray:
-        return x.argmax(axis=axis)
 
     def pad(self, x, pad_width, value: float = 0.0) -> np.ndarray:
         return np.pad(x, pad_width, mode="constant", constant_values=value)

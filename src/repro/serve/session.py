@@ -51,7 +51,7 @@ import numpy as np
 
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.autograd import fusion, ir
+from repro.autograd import functional as F, fusion, ir
 from repro.autograd.tensor import Tensor, no_grad
 from repro.backend import get_backend, use_backend
 from repro.backend.fused import FusedNumpyBackend
@@ -592,7 +592,7 @@ class InferenceSession:
             return self._emit_conv2d(node, attrs, getters, out_slot, example, slot_of)
 
         if op == "max_pool2d":
-            return self._emit_max_pool2d(node, attrs, getters, out_slot, example, slot_of)
+            return self._emit_max_pool2d(node, attrs, getters, out_slot, example)
 
         if op == "reshape":
             shape = attrs["shape"]
@@ -640,11 +640,12 @@ class InferenceSession:
     def _emit_conv2d(self, node, attrs, getters, out_slot, example, slot_of):
         """Conv replay with every workspace pre-allocated.
 
-        Runs the exact arithmetic of the im2col kernel: the patch matrix is
-        laid out the way ``np.tensordot`` lays it out internally, the weight
-        operand is the same no-copy F-contiguous ``transpose().reshape()``
-        view tensordot builds (same BLAS operand layouts → same bits), and
-        the contraction is the same 2-D GEMM — but the padded image, the
+        Runs the exact arithmetic of the eager kernel: the patch matrix has
+        the ``(N*OH*OW, C*kh*kw)`` row-major layout of
+        :func:`~repro.autograd.functional._patch_matrix`, the weight operand
+        is the same no-copy F-contiguous ``transpose().reshape()`` view
+        (same BLAS operand layouts → same bits), and the contraction is the
+        same 2-D GEMM — but the padded image, the
         patch matrix and the GEMM output live in buffers allocated once at
         compile time.  The strided window view is hoisted out of the call
         too: a session is shape-stable, so the view over the padded buffer
@@ -683,7 +684,7 @@ class InferenceSession:
             def step(values):
                 xp_buf[:, :, ph : ph + h, pw : pw + w] = gx(values)
                 np.copyto(patches, win_t)
-                # The F-contiguous no-copy view tensordot itself hands to
+                # The F-contiguous no-copy view the eager kernel hands to
                 # BLAS; a C-contiguous copy here would change sgemm's
                 # summation path (and the result's last bits) at some shapes.
                 wmat = gw(values).transpose(1, 2, 3, 0).reshape(c * kh * kw, oc)
@@ -724,71 +725,36 @@ class InferenceSession:
 
         return step
 
-    def _emit_max_pool2d(self, node, attrs, getters, out_slot, example, slot_of):
-        """Max-pool replay with the window matrix and argmax pre-allocated.
+    def _emit_max_pool2d(self, node, attrs, getters, out_slot, example):
+        """Max-pool replay through the eager corner-select kernel.
 
-        Like conv, the window view is hoisted (compile-time over the padded
-        buffer, identity-cached over a stable upstream buffer), and the
-        winner gather runs as one flat ``np.take`` over precomputed base
-        offsets instead of rebuilding ``take_along_axis`` index grids per
-        call — the same elements copied either way, so bits are unchanged.
+        :func:`~repro.autograd.functional._max_pool_corners` runs into an
+        output and scratch buffers allocated once at compile time, and
+        skips the winner offsets (only backward needs them); a padded pool
+        also owns its padded input buffer, whose ``-inf`` border is written
+        once.  Same kernel, same bits as the eager forward.
         """
         (kh, kw), (sh, sw), (ph, pw) = (
             attrs["kernel_size"], attrs["stride"], attrs["padding"]
         )
-        xd = node.inputs[0].data
-        n, c, h, w = xd.shape
-        oh, ow = example.shape[2], example.shape[3]
+        n, c, h, w = node.inputs[0].data.shape
         gx = getters[0]
-        dtype = example.dtype
+        buf = np.empty(example.shape, example.dtype)
+        scratch = F._max_pool_scratch(example.shape, example.dtype)
 
         if ph or pw:
             # -inf border written once; the interior is refreshed per call.
-            xp_buf = np.full((n, c, h + 2 * ph, w + 2 * pw), -np.inf, dtype)
-        else:
-            xp_buf = None
-        flat = np.empty((n, c, oh, ow, kh * kw), dtype)
-        flat6d = flat.reshape(n, c, oh, ow, kh, kw)
-        flat1d = flat.reshape(-1)
-        arg = np.empty((n, c, oh, ow), dtype=np.intp)
-        base_idx = (
-            np.arange(n * c * oh * ow, dtype=np.intp) * (kh * kw)
-        ).reshape(n, c, oh, ow)
-        idx = np.empty((n, c, oh, ow), dtype=np.intp)
-        buf = np.empty(example.shape, dtype)
-
-        def win_of(xp):
-            return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::sh, ::sw]
-
-        def gather(win):
-            np.copyto(flat6d, win)
-            np.argmax(flat, axis=-1, out=arg)
-            np.add(base_idx, arg, out=idx)
-            np.take(flat1d, idx, out=buf)
-
-        if xp_buf is not None:
-            win = win_of(xp_buf)
+            xp_buf = np.full((n, c, h + 2 * ph, w + 2 * pw), -np.inf, example.dtype)
 
             def step(values):
                 xp_buf[:, :, ph : ph + h, pw : pw + w] = gx(values)
-                gather(win)
+                F._max_pool_corners(xp_buf, kh, kw, sh, sw, buf, scratch=scratch)
                 values[out_slot] = buf
 
             return step
 
-        in_slot = slot_of.get(id(node.inputs[0]))
-        cacheable = not (in_slot is not None and in_slot < len(self._input_meta))
-        cache = [None, None]
-
         def step(values):
-            x = gx(values)
-            if x is cache[0]:
-                win = cache[1]
-            else:
-                win = win_of(x)
-                if cacheable:
-                    cache[0], cache[1] = x, win
-            gather(win)
+            F._max_pool_corners(gx(values), kh, kw, sh, sw, buf, scratch=scratch)
             values[out_slot] = buf
 
         return step

@@ -54,7 +54,7 @@ def test_session_is_bit_equal_to_eager_no_grad(backend, fuse):
 @pytest.mark.parametrize("batch", [1, 3, 16])
 def test_tbnet_session_is_bit_equal_across_batch_sizes(batch):
     # Batch 1 is the shape that exposed a BLAS operand-layout mismatch in
-    # the conv emitter (C-contiguous weight copy vs tensordot's F view).
+    # the conv emitter (C-contiguous weight copy vs the eager F view).
     manual_seed(21)
     model = TBNet(width=8)
     session = model.compile_serving(batch_size=batch)
@@ -62,6 +62,28 @@ def test_tbnet_session_is_bit_equal_across_batch_sizes(batch):
     np.testing.assert_array_equal(
         session.run(images, context), model.infer(images, context)
     )
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+def test_padded_overlapping_max_pool_session_is_byte_equal(batch):
+    # A padded 3x3/s2 pool over a conv without relu: negative activations
+    # reach the session's -inf border, so a wrong border value would show.
+    rng = np.random.default_rng(batch)
+    conv = nn.Conv2d(3, 4, 3, padding=1, rng=rng)
+    conv.bias.data -= 4.0  # mostly negative activations
+    model = nn.Sequential(
+        conv,
+        nn.MaxPool2d(3, stride=2, padding=1),
+        nn.Flatten(),
+        nn.Linear(4 * 4 * 4, 5, rng=rng),
+    )
+    model.eval()
+    session = compile_inference(model, np.zeros((batch, 3, 8, 8), np.float32))
+    for _ in range(2):  # buffer reuse must not corrupt later calls
+        x = rng.standard_normal((batch, 3, 8, 8)).astype(np.float32)
+        with no_grad():
+            expected = model(x).data
+        assert session.run(x).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
