@@ -69,9 +69,9 @@ Workloads
     with ``NULL_REGISTRY`` and tracing off — with interleaved rounds whose
     paired per-round ratios are median-merged; the ``observability``
     section records ``overhead_frac`` (``on/off - 1``; the acceptance
-    budget is < 3%).  A **process-serving** pair (headline backend only)
-    reruns the queued burst on a thread ``Server`` vs a ``ProcServer``
-    (worker processes over shared-memory arenas) and adds an **open-loop**
+    budget is < 3%).  A **process-serving** pair reruns the queued burst on
+    a thread ``Server`` vs a ``ProcServer`` (worker processes over
+    shared-memory arenas) and adds an **open-loop**
     arrival-rate sweep — requests submitted on a fixed schedule regardless
     of completions, client-side p99 per offered rate — reporting each
     arm's sustained throughput at a 50 ms p99 SLO; ratios land under
@@ -80,18 +80,13 @@ Workloads
     ``process_serving``.  Process sharding only pays on multi-core hosts;
     single-core runs record a ratio < 1 by design.
 
-Every repro-engine workload runs once per **array backend** (``--backend``,
-default: ``numpy fused``), so the JSON records per-backend numbers:
-the ``numpy`` reference and the ``fused`` in-place backend side by side.  The
-headline ``speedups`` (seed engine vs. repro) are computed against the
-``fused`` backend — the successor of the historical inline kernels — while
-the ``backends`` section reports numpy-vs-fused ratios per workload (>= 1.0
-means fusion pays).
+Repro-engine rows run under the active array backend (``numpy`` unless
+``REPRO_BACKEND`` names another registered one); its name labels every row
+and ratio key.  The headline ``speedups`` compare the seed engine against it.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_autograd.py [--quick] [--output PATH]
-        [--backend numpy fused]
 
 Writes ``BENCH_autograd.json`` (see ``schema`` key) with per-workload median
 step times and seed/new speedups.
@@ -119,7 +114,7 @@ from repro import nn, serve  # noqa: E402
 from repro.autograd import Tensor as NewTensor  # noqa: E402
 from repro.autograd import functional as F  # noqa: E402
 from repro.autograd import fusion, no_grad  # noqa: E402
-from repro.backend import available_backends, use_backend  # noqa: E402
+from repro.backend import get_backend  # noqa: E402
 from repro.models import TBNet, make_synthetic_batch  # noqa: E402
 
 SeedTensor = seed_engine.Tensor
@@ -872,14 +867,6 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=None, help="timing repeats per workload")
     parser.add_argument("--batch-sizes", type=int, nargs="+", default=None)
     parser.add_argument(
-        "--backend",
-        nargs="+",
-        choices=available_backends(),
-        default=None,
-        help="array backends to benchmark the repro engine under "
-        "(default: numpy fused; others, e.g. lazy, are opt-in)",
-    )
-    parser.add_argument(
         "--rounds",
         type=int,
         default=None,
@@ -895,11 +882,7 @@ def main(argv=None) -> int:
     inner = 2 if quick else 10
     warmup = 1 if quick else 5
     batches = args.batch_sizes or ([32] if quick else [64, 256])
-    # Reference first: the numpy run absorbs any residual warm-up cost so the
-    # fused numbers are never flattered by ordering.  Other registered
-    # backends (e.g. ``lazy``) are opt-in via --backend: the default matrix
-    # stays the two whose rows every trend gate keys on.
-    backends = args.backend or [n for n in ("numpy", "fused") if n in available_backends()]
+    backend = get_backend().name
     mlp_dims = [64, 64, 64, 64, 10]
     red_width, red_depth = 256, 8
 
@@ -928,76 +911,52 @@ def main(argv=None) -> int:
         print(f"{workload:9s}{tag:14s} batch={batch:<4d} {rec['per_step_ms']:8.3f} ms/step")
         return rec
 
-    def record_backends(workload: str, engine: str, batch: int, make_step, bench_inner: int) -> None:
-        """Measure ``make_step()`` under every backend, interleaved.
-
-        ``rounds`` alternating rounds per backend (one in --quick mode, where
-        no interleaving happens) give each backend early and late slots, so
-        thermal/load drift over the run cannot systematically favor whichever
-        backend happens to be measured last; the best (minimum) timings
-        across rounds survive into the record.
-        """
-        merged: Dict[str, Dict] = {}
-        for _ in range(rounds):
-            for bname in backends:
-                with use_backend(bname):
-                    step = make_step()
-                    timing = time_step(step, repeats, bench_inner, warmup)
-                merged[bname] = _min_merge(merged.get(bname), timing)
-        for bname in backends:
-            rec = {"workload": workload, "engine": engine, "batch": batch, "backend": bname}
-            rec.update(merged[bname])
-            results.append(rec)
-            print(f"{workload:9s}{engine + '/' + bname:14s} batch={batch:<4d} {rec['per_step_ms']:8.3f} ms/step")
-
     # Each (workload, batch) gets its own fixed seed so the seed and repro
-    # engines (under every backend) train on byte-identical weights and
-    # inputs.  The seed engine predates the backend registry, so its rows
-    # carry backend=None; repro rows are repeated per requested backend with
-    # the whole build+measure loop running under that backend.
+    # engines train on byte-identical weights and inputs.  The seed engine
+    # predates the backend registry, so its rows carry backend=None.
     for batch in batches:
         record("mlp", "seed", batch,
                lambda b=batch: build_mlp_step("seed", b, mlp_dims, np.random.default_rng(1000 + b)),
                inner)
-        record_backends(
+        record(
             "mlp", "repro", batch,
             lambda b=batch: build_mlp_step("repro", b, mlp_dims, np.random.default_rng(1000 + b)),
-            inner,
+            inner, backend=backend,
         )
 
         record("reduction", "seed", batch,
                lambda b=batch: build_reduction_step("seed", b, red_width, red_depth, np.random.default_rng(2000 + b)),
                inner)
-        record_backends(
+        record(
             "reduction", "repro", batch,
             lambda b=batch: build_reduction_step("repro", b, red_width, red_depth, np.random.default_rng(2000 + b)),
-            inner,
+            inner, backend=backend,
         )
 
     conv_batch = batches[0] if quick else 64
-    record_backends(
+    record(
         "conv", "repro", conv_batch,
         lambda: build_conv_step(conv_batch, np.random.default_rng(3000 + conv_batch)),
-        max(1, inner // 2),
+        max(1, inner // 2), backend=backend,
     )
 
     for batch in batches:
         for path in ("functional", "module"):
-            record_backends(
+            record(
                 "nn_mlp", path, batch,
                 lambda p=path, b=batch: build_nn_mlp_step(p, b, mlp_dims, np.random.default_rng(4000 + b)),
-                inner,
+                inner, backend=backend,
             )
 
     tbnet_batch = batches[0] if quick else 64
-    record_backends(
+    record(
         "tbnet", "module", tbnet_batch,
         lambda: build_tbnet_step(tbnet_batch, np.random.default_rng(5000 + tbnet_batch)),
-        max(1, inner // 2),
+        max(1, inner // 2), backend=backend,
     )
 
     def record_engine_pair(workload: str, engines, batch: int, make_step, bench_inner: int) -> None:
-        """``record_backends`` for a ratio-bearing engine pair.
+        """``record`` for a ratio-bearing engine pair.
 
         The two engines are measured with :func:`time_pair` — alternating
         per inner-block on one timeline — so both sides of the reported
@@ -1005,25 +964,21 @@ def main(argv=None) -> int:
         in disjoint time windows — as the plain per-engine loop does — was
         observed to swing a ~1.0 fusion ratio by >15% on a busy host,
         which is larger than the effect being gated.  At least two rounds
-        run even under ``--quick``, with the backend order rotated so no
-        cell is always measured last.
+        run even under ``--quick``.
         """
         ea, eb = engines
-        merged: Dict[tuple, Dict] = {}
-        for r in range(max(2, rounds)):
-            for bname in backends[r % len(backends):] + backends[: r % len(backends)]:
-                with use_backend(bname):
-                    timing_a, timing_b = time_pair(
-                        make_step(ea), make_step(eb), repeats, bench_inner, warmup
-                    )
-                merged[(ea, bname)] = _min_merge(merged.get((ea, bname)), timing_a)
-                merged[(eb, bname)] = _min_merge(merged.get((eb, bname)), timing_b)
+        merged: Dict[str, Dict] = {}
+        for _ in range(max(2, rounds)):
+            timing_a, timing_b = time_pair(
+                make_step(ea), make_step(eb), repeats, bench_inner, warmup
+            )
+            merged[ea] = _min_merge(merged.get(ea), timing_a)
+            merged[eb] = _min_merge(merged.get(eb), timing_b)
         for ename in engines:
-            for bname in backends:
-                rec = {"workload": workload, "engine": ename, "batch": batch, "backend": bname}
-                rec.update(merged[(ename, bname)])
-                results.append(rec)
-                print(f"{workload:9s}{ename + '/' + bname:14s} batch={batch:<4d} {rec['per_step_ms']:8.3f} ms/step")
+            rec = {"workload": workload, "engine": ename, "batch": batch, "backend": backend}
+            rec.update(merged[ename])
+            results.append(rec)
+            print(f"{workload:9s}{ename + '/' + backend:14s} batch={batch:<4d} {rec['per_step_ms']:8.3f} ms/step")
 
     # Serving: eager no_grad vs compiled replay, at the latency-serving batch
     # (1, overhead-dominated like the paper's short-block workloads) and the
@@ -1078,74 +1033,70 @@ def main(argv=None) -> int:
     overload_requests = 32 if quick else 96
     overload_delay = 0.002
     overload_limit = 8
-    resilience: Dict[str, Dict] = {}
-    for bname in backends:
-        with use_backend(bname):
-            queue_report = run_serve_queue(
-                serve_requests, serve_buckets, serve_workers, 0.001,
-                np.random.default_rng(8000), rounds,
-            )
-        qstats = queue_report["stats"]
-        for mode, seconds in queue_report["timings"].items():
-            rec = {
-                "workload": "serve_queue", "engine": mode, "batch": 1,
-                "backend": bname, "requests": serve_requests,
-                "total_ms": seconds * 1e3,
-                "throughput_rps": serve_requests / seconds,
-            }
-            if mode == "queued":
-                rec["workers"] = serve_workers
-                rec["buckets"] = list(serve_buckets)
-                rec["batch_occupancy"] = qstats["batch_occupancy"]
-                rec["latency_ms_p50"] = qstats["latency_ms_p50"]
-                rec["latency_ms_p95"] = qstats["latency_ms_p95"]
-                rec["latency_ms_p99"] = qstats["latency_ms_p99"]
-            results.append(rec)
-            print(
-                f"{'serve_q':9s}{mode + '/' + bname:14s} reqs={serve_requests:<4d}"
-                f" {rec['throughput_rps']:8.0f} req/s"
-            )
-        # Overload: arrival >> capacity, shed_oldest vs unbounded queueing.
-        with use_backend(bname):
-            overload = run_serve_overload(
-                overload_requests, overload_delay, overload_limit,
-                np.random.default_rng(8100),
-            )
-        for mode, report in overload.items():
-            rec = {
-                "workload": "serve_queue", "engine": f"overload_{mode}",
-                "batch": 1, "backend": bname, "requests": overload_requests,
-                "total_ms": report["elapsed"] * 1e3,
-                "completed": report["completed"],
-                "shed_rate": report["shed_rate"],
-                "latency_ms_p99": report["latency_ms_p99"],
-                "queue_limit": overload_limit if mode == "shed" else None,
-                "service_delay_ms": overload_delay * 1e3,
-            }
-            results.append(rec)
-            print(
-                f"{'serve_o':9s}{mode + '/' + bname:14s} reqs={overload_requests:<4d}"
-                f" p99={rec['latency_ms_p99']:7.1f} ms  shed={rec['shed_rate']:.2f}"
-            )
-        # Resilience counters: the healthy queued run's stats() plus the
-        # overload comparison, per backend — CI asserts these keys exist.
-        resilience[bname] = {
-            "requests_rejected": qstats["requests_rejected"],
-            "requests_expired": qstats["requests_expired"],
-            "requests_failed": qstats["requests_failed"],
-            "batches_retried": qstats["batches_retried"],
-            "worker_restarts": qstats["worker_restarts"],
-            "latency_ms_p99": qstats["latency_ms_p99"],
-            "overload": {
-                "queue_limit": overload_limit,
-                "service_delay_ms": overload_delay * 1e3,
-                "shed_rate": overload["shed"]["shed_rate"],
-                "completed_shed": overload["shed"]["completed"],
-                "completed_unbounded": overload["unbounded"]["completed"],
-                "p99_ms_shed": overload["shed"]["latency_ms_p99"],
-                "p99_ms_unbounded": overload["unbounded"]["latency_ms_p99"],
-            },
+    queue_report = run_serve_queue(
+        serve_requests, serve_buckets, serve_workers, 0.001,
+        np.random.default_rng(8000), rounds,
+    )
+    qstats = queue_report["stats"]
+    for mode, seconds in queue_report["timings"].items():
+        rec = {
+            "workload": "serve_queue", "engine": mode, "batch": 1,
+            "backend": backend, "requests": serve_requests,
+            "total_ms": seconds * 1e3,
+            "throughput_rps": serve_requests / seconds,
         }
+        if mode == "queued":
+            rec["workers"] = serve_workers
+            rec["buckets"] = list(serve_buckets)
+            rec["batch_occupancy"] = qstats["batch_occupancy"]
+            rec["latency_ms_p50"] = qstats["latency_ms_p50"]
+            rec["latency_ms_p95"] = qstats["latency_ms_p95"]
+            rec["latency_ms_p99"] = qstats["latency_ms_p99"]
+        results.append(rec)
+        print(
+            f"{'serve_q':9s}{mode + '/' + backend:14s} reqs={serve_requests:<4d}"
+            f" {rec['throughput_rps']:8.0f} req/s"
+        )
+    # Overload: arrival >> capacity, shed_oldest vs unbounded queueing.
+    overload = run_serve_overload(
+        overload_requests, overload_delay, overload_limit,
+        np.random.default_rng(8100),
+    )
+    for mode, report in overload.items():
+        rec = {
+            "workload": "serve_queue", "engine": f"overload_{mode}",
+            "batch": 1, "backend": backend, "requests": overload_requests,
+            "total_ms": report["elapsed"] * 1e3,
+            "completed": report["completed"],
+            "shed_rate": report["shed_rate"],
+            "latency_ms_p99": report["latency_ms_p99"],
+            "queue_limit": overload_limit if mode == "shed" else None,
+            "service_delay_ms": overload_delay * 1e3,
+        }
+        results.append(rec)
+        print(
+            f"{'serve_o':9s}{mode + '/' + backend:14s} reqs={overload_requests:<4d}"
+            f" p99={rec['latency_ms_p99']:7.1f} ms  shed={rec['shed_rate']:.2f}"
+        )
+    # Resilience counters: the healthy queued run's stats() plus the
+    # overload comparison — CI asserts these keys exist.
+    resilience = {backend: {
+        "requests_rejected": qstats["requests_rejected"],
+        "requests_expired": qstats["requests_expired"],
+        "requests_failed": qstats["requests_failed"],
+        "batches_retried": qstats["batches_retried"],
+        "worker_restarts": qstats["worker_restarts"],
+        "latency_ms_p99": qstats["latency_ms_p99"],
+        "overload": {
+            "queue_limit": overload_limit,
+            "service_delay_ms": overload_delay * 1e3,
+            "shed_rate": overload["shed"]["shed_rate"],
+            "completed_shed": overload["shed"]["completed"],
+            "completed_unbounded": overload["unbounded"]["completed"],
+            "p99_ms_shed": overload["shed"]["latency_ms_p99"],
+            "p99_ms_unbounded": overload["unbounded"]["latency_ms_p99"],
+        },
+    }}
 
     # Observability overhead: the instrumented hot path (registry + tracer)
     # vs the same Server with NULL_REGISTRY/no tracer, interleaved rounds.
@@ -1153,57 +1104,49 @@ def main(argv=None) -> int:
     # scheduler jitter, so the pair keeps a floor of 128 requests even in
     # the quick config (~2s extra, and the number is actually meaningful).
     obs_requests = max(128, serve_requests)
-    observability: Dict[str, Dict] = {}
-    for bname in backends:
-        with use_backend(bname):
-            obs_report = run_obs_overhead(
-                obs_requests, serve_buckets, serve_workers, 0.001,
-                np.random.default_rng(8200), rounds,
-            )
-        observability[bname] = obs_report
-        print(
-            f"{'serve_m':9s}{'obs/' + bname:14s} reqs={obs_requests:<4d}"
-            f" overhead={obs_report['overhead_frac'] * 100:+5.1f}%"
-            f" (on={obs_report['on_ms']:.1f}ms off={obs_report['off_ms']:.1f}ms)"
-        )
+    obs_report = run_obs_overhead(
+        obs_requests, serve_buckets, serve_workers, 0.001,
+        np.random.default_rng(8200), rounds,
+    )
+    observability = {backend: obs_report}
+    print(
+        f"{'serve_m':9s}{'obs/' + backend:14s} reqs={obs_requests:<4d}"
+        f" overhead={obs_report['overhead_frac'] * 100:+5.1f}%"
+        f" (on={obs_report['on_ms']:.1f}ms off={obs_report['off_ms']:.1f}ms)"
+    )
 
     # Process-sharded serving: thread vs process workers on the same burst,
     # plus the open-loop arrival-rate sweep (throughput at a p99 SLO).
-    # Headline backend only — the comparison is worker substrate, not
-    # kernels, and the process arm pays a worker-compile warmup per server.
-    process_serving: Dict[str, Dict] = {}
-    proc_backend = "fused" if "fused" in backends else backends[0]
     openloop_rates = [50, 100, 200] if quick else [100, 200, 400, 800]
     openloop_duration = 0.25 if quick else 0.5
     openloop_slo_ms = 50.0
-    with use_backend(proc_backend):
-        proc_report = run_serve_procpool(
-            serve_requests, serve_buckets, serve_workers, 0.001,
-            np.random.default_rng(8300), rounds,
-        )
-        open_report = run_serve_openloop(
-            openloop_rates, openloop_duration, openloop_slo_ms,
-            serve_buckets, serve_workers, 0.001,
-            np.random.default_rng(8400),
-        )
+    proc_report = run_serve_procpool(
+        serve_requests, serve_buckets, serve_workers, 0.001,
+        np.random.default_rng(8300), rounds,
+    )
+    open_report = run_serve_openloop(
+        openloop_rates, openloop_duration, openloop_slo_ms,
+        serve_buckets, serve_workers, 0.001,
+        np.random.default_rng(8400),
+    )
     thread_s = proc_report["timings"]["thread"]
     process_s = proc_report["timings"]["process"]
     for mode, seconds in proc_report["timings"].items():
         rec = {
             "workload": "serve_proc", "engine": mode, "batch": 1,
-            "backend": proc_backend, "requests": serve_requests,
+            "backend": backend, "requests": serve_requests,
             "workers": serve_workers, "total_ms": seconds * 1e3,
             "throughput_rps": serve_requests / seconds,
             "latency_ms_p99": proc_report["stats"][mode]["latency_ms_p99"],
         }
         results.append(rec)
         print(
-            f"{'serve_p':9s}{mode + '/' + proc_backend:14s}"
+            f"{'serve_p':9s}{mode + '/' + backend:14s}"
             f" reqs={serve_requests:<4d}"
             f" {rec['throughput_rps']:8.0f} req/s"
         )
     sustained = open_report["sustained_rps"]
-    process_serving[proc_backend] = {
+    proc_section = {
         "workers": serve_workers,
         "cores": os.cpu_count(),
         "start_method": proc_report["stats"]["process"]["start_method"],
@@ -1215,9 +1158,8 @@ def main(argv=None) -> int:
         "openloop": open_report,
     }
     if sustained["thread"] > 0:
-        process_serving[proc_backend]["openloop"]["process_vs_thread_slo"] = (
-            sustained["process"] / sustained["thread"]
-        )
+        open_report["process_vs_thread_slo"] = sustained["process"] / sustained["thread"]
+    process_serving = {backend: proc_section}
     print(
         f"{'serve_p':9s}{'openloop':14s} slo={openloop_slo_ms:.0f}ms"
         f" thread={sustained['thread']:.0f} rps"
@@ -1225,9 +1167,7 @@ def main(argv=None) -> int:
     )
 
     # Headline speedups keep their historical keys and semantics (seed engine
-    # vs. repro); the repro side is the fused backend when it was measured,
-    # since the fused backend is the successor of the old inline kernels.
-    headline = "fused" if "fused" in backends else backends[0]
+    # vs. repro).
     speedups = {}
     for workload in ("mlp", "reduction"):
         for batch in batches:
@@ -1236,35 +1176,11 @@ def main(argv=None) -> int:
                 for r in results
                 if r["workload"] == workload and r["batch"] == batch
             }
-            if "seed" in times and headline in times:
-                speedups[f"{workload}/batch{batch}"] = times["seed"] / times[headline]
-
-    # Per-workload backend comparison: numpy reference vs fused (>= 1.0 means
-    # the fused backend meets or beats the reference).  Uses best-of timings:
-    # the minimum over repeats is the least noise-contaminated estimate of a
-    # deterministic step, so ratios between two near-identical code paths are
-    # not dominated by scheduler jitter.
-    backend_speedups = {}
-    if "numpy" in backends and "fused" in backends:
-        for r in results:
-            # serve_queue rows carry burst throughput, not per-step timings.
-            if r["backend"] != "numpy" or r["engine"] == "seed" or "best_ms" not in r:
-                continue
-            twin = next(
-                (
-                    s for s in results
-                    if s["backend"] == "fused"
-                    and (s["workload"], s["engine"], s["batch"])
-                    == (r["workload"], r["engine"], r["batch"])
-                ),
-                None,
-            )
-            if twin is not None:
-                key = f"{r['workload']}/{r['engine']}/batch{r['batch']}"
-                backend_speedups[key] = r["best_ms"] / twin["best_ms"]
+            if "seed" in times and backend in times:
+                speedups[f"{workload}/batch{batch}"] = times["seed"] / times[backend]
 
     def _paired_ratio(workload: str, num_engine: str, den_engine: str) -> Dict[str, float]:
-        """Per-backend/batch best-of ratios between two engines of a workload."""
+        """Per-batch best-of ratios between two engines of a workload."""
         ratios = {}
         for r in results:
             if r["workload"] != workload or r["engine"] != num_engine:
@@ -1282,7 +1198,7 @@ def main(argv=None) -> int:
                 ratios[key] = r["best_ms"] / twin["best_ms"]
         return ratios
 
-    # Inference section: eager-vs-compiled per backend/batch (> 1.0 means the
+    # Inference section: eager-vs-compiled per batch (> 1.0 means the
     # compiled replay beats the eager no_grad forward).
     inference = _paired_ratio("tbnet_infer", "eager", "compiled")
     # Fusion section: unfused-vs-fused training over the same chains, plus
@@ -1296,37 +1212,31 @@ def main(argv=None) -> int:
     # Serving section: queued dynamic batching vs both per-request paths
     # (> 1.0 on every row means the queue front end pays its overhead).
     serving = {}
-    for bname in backends:
-        rows = {
-            r["engine"]: r for r in results
-            if r["workload"] == "serve_queue" and r["backend"] == bname
-        }
-        if {"eager", "session", "queued"} <= rows.keys():
-            queued_rps = rows["queued"]["throughput_rps"]
-            serving[f"serve_queue/{bname}/queued_vs_session"] = (
-                queued_rps / rows["session"]["throughput_rps"]
-            )
-            serving[f"serve_queue/{bname}/queued_vs_eager"] = (
-                queued_rps / rows["eager"]["throughput_rps"]
-            )
-        if {"overload_unbounded", "overload_shed"} <= rows.keys():
-            # > 1.0 means load-shedding bounds the completed-request p99
-            # that unbounded queueing lets grow with the backlog.
-            shed_p99 = rows["overload_shed"]["latency_ms_p99"]
-            if shed_p99 > 0:
-                serving[f"serve_queue/{bname}/overload_p99_unbounded_vs_shed"] = (
-                    rows["overload_unbounded"]["latency_ms_p99"] / shed_p99
-                )
-    for bname, section in process_serving.items():
-        # Worker-substrate ratios: > 1.0 means process sharding beats
-        # thread sharding (expect < 1.0 on a single core, where the
-        # process arm pays IPC for no parallelism).
-        serving[f"serve_proc/{bname}/process_vs_thread"] = (
-            section["burst"]["process_vs_thread"]
+    rows = {r["engine"]: r for r in results if r["workload"] == "serve_queue"}
+    queued_rps = rows["queued"]["throughput_rps"]
+    serving[f"serve_queue/{backend}/queued_vs_session"] = (
+        queued_rps / rows["session"]["throughput_rps"]
+    )
+    serving[f"serve_queue/{backend}/queued_vs_eager"] = (
+        queued_rps / rows["eager"]["throughput_rps"]
+    )
+    # > 1.0 means load-shedding bounds the completed-request p99 that
+    # unbounded queueing lets grow with the backlog.
+    shed_p99 = rows["overload_shed"]["latency_ms_p99"]
+    if shed_p99 > 0:
+        serving[f"serve_queue/{backend}/overload_p99_unbounded_vs_shed"] = (
+            rows["overload_unbounded"]["latency_ms_p99"] / shed_p99
         )
-        slo_ratio = section["openloop"].get("process_vs_thread_slo")
-        if slo_ratio is not None:
-            serving[f"serve_openloop/{bname}/process_vs_thread_slo"] = slo_ratio
+    # Worker-substrate ratios: > 1.0 means process sharding beats thread
+    # sharding (expect < 1.0 on a single core, where the process arm pays
+    # IPC for no parallelism).
+    serving[f"serve_proc/{backend}/process_vs_thread"] = (
+        proc_section["burst"]["process_vs_thread"]
+    )
+    if "process_vs_thread_slo" in open_report:
+        serving[f"serve_openloop/{backend}/process_vs_thread_slo"] = (
+            open_report["process_vs_thread_slo"]
+        )
 
     # Module-vs-functional ratios are overhead measurements, not seed-engine
     # speedups, so they live under their own key: the ROADMAP's "beat the
@@ -1336,7 +1246,7 @@ def main(argv=None) -> int:
         times = {
             r["engine"]: r["per_step_ms"]
             for r in results
-            if r["workload"] == "nn_mlp" and r["batch"] == batch and r["backend"] == headline
+            if r["workload"] == "nn_mlp" and r["batch"] == batch
         }
         if "functional" in times and "module" in times:
             # >= 1.0 means the Module layer is free; < 1.0 is its overhead.
@@ -1351,11 +1261,10 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "platform": platform.platform(),
             "quick": quick,
-            "backends": backends,
-            "headline_backend": headline,
+            "backend": backend,
             # Pinning BLAS to one thread (OMP_NUM_THREADS=1) stabilizes the
-            # numpy-vs-fused ratios on noisy hosts; record it so artifacts
-            # are only compared like-for-like.
+            # paired ratios on noisy hosts; record it so artifacts are only
+            # compared like-for-like.
             "blas_threads": os.environ.get("OMP_NUM_THREADS", "default"),
         },
         "config": {
@@ -1368,7 +1277,6 @@ def main(argv=None) -> int:
         },
         "results": results,
         "speedups": speedups,
-        "backends": backend_speedups,
         "overhead": overhead,
         "inference": inference,
         "fusion": fusion_ratios,
@@ -1385,8 +1293,6 @@ def main(argv=None) -> int:
     print(f"\nwrote {args.output}")
     for key, value in sorted(speedups.items()):
         print(f"  speedup {key}: {value:.2f}x")
-    for key, value in sorted(backend_speedups.items()):
-        print(f"  backend {key}: {value:.2f}x (numpy/fused)")
     for key, value in sorted(overhead.items()):
         print(f"  overhead {key}: {value:.2f}x (functional/module)")
     for key, value in sorted(inference.items()):

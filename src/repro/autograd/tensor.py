@@ -83,11 +83,6 @@ def _as_array(value: ArrayLike, dtype=np.float32) -> np.ndarray:
         if value.dtype != dtype:
             return value.astype(dtype)
         return value
-    if getattr(value, "_repro_lazy", False) and value.dtype == dtype:
-        # A deferred array from the lazy backend: adopt it unforced so the
-        # elementwise chain keeps growing; any np.asarray here would flush
-        # the region one op at a time.
-        return value
     return np.asarray(value, dtype=dtype)
 
 
@@ -164,20 +159,6 @@ def _get_fusion():
 
         _fusion_module = fusion
     return _fusion_module
-
-
-_lazy_module = None
-
-
-def _get_lazy():
-    """Lazy import of :mod:`repro.backend.lazy` (only loaded when a
-    backward pass needs to pause deferral)."""
-    global _lazy_module
-    if _lazy_module is None:
-        from repro.backend import lazy
-
-        _lazy_module = lazy
-    return _lazy_module
 
 
 _profile_module = None
@@ -269,16 +250,8 @@ class Tensor:
         return self.data.dtype
 
     def numpy(self) -> np.ndarray:
-        """Return the underlying numpy array (no copy).
-
-        Forces (and swaps in) the concrete array when the lazy backend left
-        a deferred region here — ``.data`` reads are a region flush point.
-        """
-        data = self.data
-        if getattr(data, "_repro_lazy", False):
-            data = np.asarray(data)
-            self.data = data
-        return data
+        """Return the underlying numpy array (no copy)."""
+        return self.data
 
     def item(self) -> float:
         data = self.numpy()
@@ -624,8 +597,8 @@ class Tensor:
     def relu(self) -> "Tensor":
         be = get_backend()
         # The mask is a gradient-only artifact: computing it in inference
-        # would both waste a full-size compare and force a lazy-backend
-        # chain mid-region, so it exists only when a backward will.
+        # would waste a full-size compare, so it exists only when a
+        # backward will.
         if _GRAD_ENABLED and self.requires_grad:
             mask = self.data > 0
             attrs = {"mask": mask}
@@ -929,32 +902,22 @@ class Tensor:
                 out.grad = None
         self.grad = seed
 
-        # Gradient math must produce concrete arrays: under the lazy
-        # backend, deferring VJP ops would interleave half-built gradient
-        # regions with the in-place accumulation buffers, so deferral is
-        # paused for the duration of the thunk loop.
-        lazy = _get_lazy()
-        prev_defer = lazy.set_deferral(False)
-        try:
-            profiler = _get_profile().active_profiler()
-            if profiler is None:
-                for node in reversed(topo):
-                    backward_fn = node.backward
-                    if backward_fn is not None:
-                        backward_fn()
-            else:
-                # Timing-only instrumentation: the same thunks run in the
-                # same order, so gradients stay bit-identical with
-                # profiling on.
-                perf = time.perf_counter
-                for node in reversed(topo):
-                    backward_fn = node.backward
-                    if backward_fn is not None:
-                        start = perf()
-                        backward_fn()
-                        profiler.record("backward:" + node.op, perf() - start)
-        finally:
-            lazy.set_deferral(prev_defer)
+        profiler = _get_profile().active_profiler()
+        if profiler is None:
+            for node in reversed(topo):
+                backward_fn = node.backward
+                if backward_fn is not None:
+                    backward_fn()
+        else:
+            # Timing-only instrumentation: the same thunks run in the same
+            # order, so gradients stay bit-identical with profiling on.
+            perf = time.perf_counter
+            for node in reversed(topo):
+                backward_fn = node.backward
+                if backward_fn is not None:
+                    start = perf()
+                    backward_fn()
+                    profiler.record("backward:" + node.op, perf() - start)
 
         if retain_graph:
             self._topo = topo

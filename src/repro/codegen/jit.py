@@ -26,7 +26,7 @@ into workspaces, then one kernel per map/reduce stage.  Passing
 literal loop bounds — the serving planner compiles each bucket this way so
 ``-O3`` can unroll and vectorize batch-1 loops — keyed into the same cache
 by (structure, shapes); the dynamic-shape kernels remain the default for
-eager/lazy use.
+training use.
 
 When codegen is disabled (``REPRO_CODEGEN=0``), no compiler is available,
 or a compile fails, :func:`compile_region` falls back to the numpy

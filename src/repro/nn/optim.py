@@ -9,9 +9,8 @@ so parameters that never receive gradients cost nothing.
 The update rules themselves are backend composites
 (:meth:`~repro.backend.base.ArrayBackend.sgd_update` /
 :meth:`~repro.backend.base.ArrayBackend.adam_update`): each ``step()``
-resolves the active backend once and applies its fused (or reference) update
-to every parameter, so an accelerator backend owns the optimizer arithmetic
-too.
+resolves the active backend once and applies its update rule to every
+parameter, so an accelerator backend owns the optimizer arithmetic too.
 """
 
 from __future__ import annotations

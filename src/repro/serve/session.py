@@ -54,8 +54,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro.autograd import functional as F, fusion, ir
 from repro.autograd.tensor import Tensor, no_grad
 from repro.backend import get_backend, use_backend
-from repro.backend.fused import FusedNumpyBackend
-from repro.backend.lazy import LazyBackend, pause_deferral, set_deferral
 from repro.backend.numpy_backend import NumpyBackend
 from repro.nn.module import Module
 from repro.obs.profile import active_profiler
@@ -211,12 +209,7 @@ def compile_inference(model: Module, example_batch, fuse: bool = True) -> "Infer
             "model.eval() first"
         )
     inputs = _as_input_tensors(example_batch)
-    # Deferral paused for the capture: under the lazy backend an eager
-    # elementwise chain would record LazyArray outputs, which the fusion
-    # pass cannot extract regions from and the specialized emitters cannot
-    # pre-allocate against.  The captured trace *is* the region plan here,
-    # so deferring during it buys nothing.
-    with no_grad(), pause_deferral(), ir.capture() as graph:
+    with no_grad(), ir.capture() as graph:
         output = model(*inputs)
     if not isinstance(output, Tensor):
         raise TypeError(
@@ -257,10 +250,6 @@ class InferenceSession:
         model: Optional[Module] = None,
     ) -> None:
         self._be = backend
-        #: Replay must see concrete arrays: a deferring backend would hand
-        #: the generic steps LazyArrays (and the caller a lazy output), so
-        #: ``run`` pauses deferral for the step loop on such backends.
-        self._pause_deferral = isinstance(backend, LazyBackend)
         self._model = model
         self._input_meta = [(t.data.shape, t.data.dtype) for t in inputs]
         self.fused_counts = dict(fused_counts or {})
@@ -365,24 +354,19 @@ class InferenceSession:
                     "recompile with an example of the new dtype)"
                 )
             values[i] = arr
-        prev_defer = set_deferral(False) if self._pause_deferral else None
-        try:
-            profiler = active_profiler()
-            if profiler is None:
-                for step in self._steps:
-                    step(values)
-            else:
-                # Timing-only instrumentation: the exact same step closures
-                # run in the exact same order, so results stay bit-identical.
-                perf = time.perf_counter
-                for op, step in zip(self._step_ops, self._steps):
-                    start = perf()
-                    step(values)
-                    profiler.record("serve:" + op, perf() - start)
-            result = self._get_output(values)
-        finally:
-            if prev_defer is not None:
-                set_deferral(prev_defer)
+        profiler = active_profiler()
+        if profiler is None:
+            for step in self._steps:
+                step(values)
+        else:
+            # Timing-only instrumentation: the exact same step closures run
+            # in the exact same order, so results stay bit-identical.
+            perf = time.perf_counter
+            for op, step in zip(self._step_ops, self._steps):
+                start = perf()
+                step(values)
+                profiler.record("serve:" + op, perf() - start)
+        result = self._get_output(values)
         # Drop the slot references (caller inputs, generic-step outputs) so
         # a long-lived session does not pin the last batch between calls;
         # the pre-allocated emitter buffers live in the step closures.
@@ -413,9 +397,8 @@ class InferenceSession:
                 f"({training[:3]}); call model.eval() before serving"
             )
         # Pin the compile-time backend: full chunks replay under it, so the
-        # tail must too — one request stream, one set of numerics.  Deferral
-        # paused so a lazy backend hands back a concrete output array.
-        with use_backend(self._be), no_grad(), pause_deferral():
+        # tail must too — one request stream, one set of numerics.
+        with use_backend(self._be), no_grad():
             out = model(
                 *(
                     Tensor(a, dtype=meta[1])
@@ -503,28 +486,6 @@ class InferenceSession:
 
             def step(values):
                 np.negative(gx(values), out=buf)
-                values[out_slot] = buf
-
-            return step
-
-        if op == "add_relu":
-            buf = np.empty(example.shape, example.dtype)
-            ga, gb2 = getters[0], getters[1]
-
-            def step(values):
-                np.add(ga(values), gb2(values), out=buf)
-                np.maximum(buf, 0.0, out=buf)
-                values[out_slot] = buf
-
-            return step
-
-        if op == "mul_add" and attrs["p_shape"] == example.shape:
-            buf = np.empty(example.shape, example.dtype)
-            ga, gb2, gc = getters
-
-            def step(values):
-                np.multiply(ga(values), gb2(values), out=buf)
-                np.add(buf, gc(values), out=buf)
                 values[out_slot] = buf
 
             return step
@@ -761,18 +722,15 @@ class InferenceSession:
 
 
 def _is_builtin_backend(be) -> bool:
-    """Whether ``be`` is exactly one of the built-in numpy backends.
+    """Whether ``be`` is exactly the built-in :class:`NumpyBackend`.
 
     The specialized step emitters rewrite kernels as raw in-place numpy
-    chains that are validated bit-equal against :class:`NumpyBackend` and
-    :class:`FusedNumpyBackend` — but only against those.
-    :class:`LazyBackend` also qualifies: sessions capture and replay with
-    deferral paused, where its primitives *are* ``NumpyBackend``'s.  Any
-    other backend (a subclass with overridden methods, a third-party
-    registration) gets the generic IR evaluators, which dispatch every
-    operation through the backend itself.
+    chains that are validated bit-equal against :class:`NumpyBackend` —
+    but only against it.  Any other backend (a subclass with overridden
+    methods, a third-party registration) gets the generic IR evaluators,
+    which dispatch every operation through the backend itself.
     """
-    return type(be) in (NumpyBackend, FusedNumpyBackend, LazyBackend)
+    return type(be) is NumpyBackend
 
 
 def serve_batches(

@@ -10,7 +10,7 @@ from repro.models import TBNet, make_synthetic_batch
 from repro.nn.init import manual_seed
 from repro.serve import Server, SessionPool
 
-BACKENDS = ("numpy", "fused")
+BACKENDS = ("numpy",)
 AWKWARD_COUNTS = (1, 5, 63, 65, 129)
 
 

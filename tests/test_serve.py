@@ -10,7 +10,7 @@ from repro.models import TBNet, make_synthetic_batch
 from repro.nn.init import manual_seed
 from repro.serve import InferenceSession, compile_inference, serve_batches
 
-BACKENDS = ("numpy", "fused")
+BACKENDS = ("numpy",)
 
 
 def _mlp(rng):

@@ -19,7 +19,7 @@ from repro.autograd import no_grad
 from repro.backend import use_backend
 from repro.serve import DeadlineExceeded, Server
 
-BACKENDS = ("numpy", "fused")
+BACKENDS = ("numpy",)
 
 
 def _model(rng):
